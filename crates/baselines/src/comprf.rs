@@ -84,10 +84,6 @@ pub struct CompressRfBackend {
     admitted: HashSet<usize>,
     finished: HashSet<usize>,
     warps_per_sm: usize,
-    /// Warps throttled as of the last `begin_cycle`, so a fast-path skip
-    /// can bulk-charge `comprf_throttled_warp_cycles` for the cycles it
-    /// jumps.
-    throttled_now: u64,
 }
 
 impl CompressRfBackend {
@@ -112,7 +108,6 @@ impl CompressRfBackend {
             admitted: HashSet::new(),
             finished: HashSet::new(),
             warps_per_sm: gpu.warps_per_sm,
-            throttled_now: 0,
         }
     }
 
@@ -154,20 +149,7 @@ impl OperandBackend for CompressRfBackend {
         let throttled = self
             .warps_per_sm
             .saturating_sub(self.finished.len() + self.admitted.len());
-        self.throttled_now = throttled as u64;
         ctx.stats.comprf_throttled_warp_cycles += throttled as u64;
-    }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Admission only changes when a warp finishes — a real tick; the
-        // throttle counter is bulk-applied in `on_skip`.
-        None
-    }
-
-    fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut regless_sim::SmStats) {
-        // The stepped loop would have charged `throttled_now` once per
-        // skipped cycle.
-        stats.comprf_throttled_warp_cycles += self.throttled_now * (to - from);
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {

@@ -57,29 +57,12 @@ use std::sync::Arc;
 ///
 /// Returns [`SimError`] if the cycle limit is exceeded.
 pub fn run_rfh(gpu: GpuConfig, compiled: CompiledKernel) -> Result<RunReport, SimError> {
-    run_rfh_with(gpu, compiled, false)
-}
-
-/// [`run_rfh`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop instead of the event-driven fast path
-/// (see [`Machine::set_stepped`]).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the cycle limit is exceeded.
-pub fn run_rfh_with(
-    gpu: GpuConfig,
-    compiled: CompiledKernel,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
     let gpu = GpuConfig {
         scheduler: RfhBackend::scheduler(),
         ..gpu
     };
     let compiled = Arc::new(compiled);
-    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| RfhBackend::new(&compiled));
-    machine.set_stepped(stepped);
-    machine.run()
+    Machine::new(gpu, Arc::clone(&compiled), |_| RfhBackend::new(&compiled)).run()
 }
 
 /// Run a kernel under the RFV design (two-level scheduler, half-size
@@ -89,31 +72,15 @@ pub fn run_rfh_with(
 ///
 /// Returns [`SimError`] if the cycle limit is exceeded.
 pub fn run_rfv(gpu: GpuConfig, compiled: CompiledKernel) -> Result<RunReport, SimError> {
-    run_rfv_with(gpu, compiled, false)
-}
-
-/// [`run_rfv`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop instead of the event-driven fast path
-/// (see [`Machine::set_stepped`]).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the cycle limit is exceeded.
-pub fn run_rfv_with(
-    gpu: GpuConfig,
-    compiled: CompiledKernel,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
     let gpu = GpuConfig {
         scheduler: RfvBackend::scheduler(),
         ..gpu
     };
     let compiled = Arc::new(compiled);
-    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| {
+    Machine::new(gpu, Arc::clone(&compiled), |_| {
         RfvBackend::new(&gpu, Arc::clone(&compiled))
-    });
-    machine.set_stepped(stepped);
-    machine.run()
+    })
+    .run()
 }
 
 /// Run a kernel under the RegDem design (cold registers demoted to a
@@ -123,27 +90,11 @@ pub fn run_rfv_with(
 ///
 /// Returns [`SimError`] if the cycle limit is exceeded.
 pub fn run_regdem(gpu: GpuConfig, compiled: CompiledKernel) -> Result<RunReport, SimError> {
-    run_regdem_with(gpu, compiled, false)
-}
-
-/// [`run_regdem`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop instead of the event-driven fast path
-/// (see [`Machine::set_stepped`]).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the cycle limit is exceeded.
-pub fn run_regdem_with(
-    gpu: GpuConfig,
-    compiled: CompiledKernel,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
     let compiled = Arc::new(compiled);
-    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| {
+    Machine::new(gpu, Arc::clone(&compiled), |_| {
         RegDemBackend::new(&gpu, Arc::clone(&compiled))
-    });
-    machine.set_stepped(stepped);
-    machine.run()
+    })
+    .run()
 }
 
 /// Run a kernel under the compressed-RF design (two-level scheduler,
@@ -153,31 +104,15 @@ pub fn run_regdem_with(
 ///
 /// Returns [`SimError`] if the cycle limit is exceeded.
 pub fn run_compress_rf(gpu: GpuConfig, compiled: CompiledKernel) -> Result<RunReport, SimError> {
-    run_compress_rf_with(gpu, compiled, false)
-}
-
-/// [`run_compress_rf`] with an explicit run-loop mode: `stepped` forces
-/// the cycle-by-cycle reference loop instead of the event-driven fast
-/// path (see [`Machine::set_stepped`]).
-///
-/// # Errors
-///
-/// Returns [`SimError`] if the cycle limit is exceeded.
-pub fn run_compress_rf_with(
-    gpu: GpuConfig,
-    compiled: CompiledKernel,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
     let gpu = GpuConfig {
         scheduler: CompressRfBackend::scheduler(),
         ..gpu
     };
     let compiled = Arc::new(compiled);
-    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| {
+    Machine::new(gpu, Arc::clone(&compiled), |_| {
         CompressRfBackend::new(&gpu, Arc::clone(&compiled))
-    });
-    machine.set_stepped(stepped);
-    machine.run()
+    })
+    .run()
 }
 
 #[cfg(test)]

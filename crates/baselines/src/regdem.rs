@@ -36,10 +36,6 @@ pub struct RegDemBackend {
     admitted: HashSet<usize>,
     finished: HashSet<usize>,
     warps_per_sm: usize,
-    /// Warps throttled as of the last `begin_cycle`, so a fast-path skip
-    /// can bulk-charge `spill_throttled_warp_cycles` for the cycles it
-    /// jumps.
-    throttled_now: u64,
 }
 
 impl RegDemBackend {
@@ -82,7 +78,6 @@ impl RegDemBackend {
             admitted: HashSet::new(),
             finished: HashSet::new(),
             warps_per_sm: gpu.warps_per_sm,
-            throttled_now: 0,
         }
     }
 
@@ -114,22 +109,7 @@ impl OperandBackend for RegDemBackend {
         let throttled = self
             .warps_per_sm
             .saturating_sub(self.finished.len() + self.admitted.len());
-        self.throttled_now = throttled as u64;
         ctx.stats.spill_throttled_warp_cycles += throttled as u64;
-    }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Admission only changes when a warp finishes, which is an issue
-        // and therefore already a real tick; the throttle counter is
-        // bulk-applied in `on_skip`.
-        None
-    }
-
-    fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut regless_sim::SmStats) {
-        // The stepped loop would have charged `throttled_now` once per
-        // skipped cycle (the admitted/finished sets are frozen while no
-        // warp issues).
-        stats.spill_throttled_warp_cycles += self.throttled_now * (to - from);
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {

@@ -189,12 +189,6 @@ impl OperandBackend for RfhBackend {
             }
         }
     }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Pure access counting against a static placement: nothing ever
-        // becomes pending on the backend side.
-        None
-    }
 }
 
 #[cfg(test)]

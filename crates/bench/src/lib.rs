@@ -8,12 +8,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use regless_baselines::{run_compress_rf_with, run_regdem_with, run_rfh_with, run_rfv_with};
+use regless_baselines::{run_compress_rf, run_regdem, run_rfh, run_rfv};
 use regless_compiler::{compile, CompiledKernel, RegionConfig};
 use regless_core::{RegLessConfig, RegLessSim};
 use regless_energy::{energy, Design, EnergyBreakdown};
 use regless_isa::Kernel;
-use regless_sim::{run_baseline, run_baseline_with, GpuConfig, RunReport};
+use regless_sim::{run_baseline, GpuConfig, RunReport};
 use regless_workloads::rodinia;
 use std::sync::Arc;
 
@@ -21,7 +21,6 @@ pub mod figs;
 pub mod profile;
 pub mod registry;
 pub mod report;
-pub mod sim_speed;
 pub mod sweep;
 pub mod timing;
 
@@ -88,30 +87,18 @@ impl DesignKind {
 /// Panics on compile errors or simulation timeouts — the harness treats
 /// these as fatal experiment failures.
 pub fn run_design(kernel: &Kernel, design: DesignKind) -> RunReport {
-    run_design_with(kernel, design, false)
-}
-
-/// [`run_design`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop instead of the event-driven fast path.
-/// Both modes must produce byte-identical reports; the sim-speed bench
-/// asserts exactly that while measuring their relative throughput.
-///
-/// # Panics
-///
-/// Panics on compile errors or simulation timeouts.
-pub fn run_design_with(kernel: &Kernel, design: DesignKind, stepped: bool) -> RunReport {
     let gpu = eval_gpu();
     match design {
         DesignKind::Baseline => {
             let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_baseline_with(gpu, Arc::new(compiled), stepped).expect("baseline run")
+            run_baseline(gpu, Arc::new(compiled)).expect("baseline run")
         }
         DesignKind::RegLess { entries } => {
             let cfg = RegLessConfig::with_capacity(entries);
             let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_stepped(stepped);
-            sim.run().expect("regless run")
+            RegLessSim::new(gpu, cfg, compiled)
+                .run()
+                .expect("regless run")
         }
         DesignKind::RegLessNoCompressor { entries } => {
             let cfg = RegLessConfig {
@@ -119,25 +106,25 @@ pub fn run_design_with(kernel: &Kernel, design: DesignKind, stepped: bool) -> Ru
                 ..RegLessConfig::with_capacity(entries)
             };
             let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_stepped(stepped);
-            sim.run().expect("regless run")
+            RegLessSim::new(gpu, cfg, compiled)
+                .run()
+                .expect("regless run")
         }
         DesignKind::Rfh => {
             let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfh_with(gpu, compiled, stepped).expect("rfh run")
+            run_rfh(gpu, compiled).expect("rfh run")
         }
         DesignKind::Rfv => {
             let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfv_with(gpu, compiled, stepped).expect("rfv run")
+            run_rfv(gpu, compiled).expect("rfv run")
         }
         DesignKind::RegDem => {
             let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_regdem_with(gpu, compiled, stepped).expect("regdem run")
+            run_regdem(gpu, compiled).expect("regdem run")
         }
         DesignKind::CompressRf => {
             let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_compress_rf_with(gpu, compiled, stepped).expect("compress-rf run")
+            run_compress_rf(gpu, compiled).expect("compress-rf run")
         }
     }
 }

@@ -1,41 +1,6 @@
-//! Tiny wall-clock measurement helpers.
-//!
-//! The build environment cannot fetch criterion, so the `benches/` targets
-//! and the sweep engine's progress reporting use this module instead: a
-//! warm-up pass followed by doubling batches until enough wall time has
-//! been observed, reporting the mean iteration time.
+//! Human-readable durations for the sweep engine's progress reporting.
 
-use std::hint::black_box;
-use std::time::{Duration, Instant};
-
-/// Minimum measured wall time before a result is reported.
-const MIN_MEASURE: Duration = Duration::from_millis(200);
-
-/// Iteration cap so very slow bodies still finish promptly.
-const MAX_ITERS: u64 = 4096;
-
-/// Measure `f`'s mean wall-clock time and print a one-line summary.
-/// Returns the mean duration.
-pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) -> Duration {
-    black_box(f()); // warm-up (page in code, fill caches)
-    let mut iters: u64 = 1;
-    loop {
-        let start = Instant::now();
-        for _ in 0..iters {
-            black_box(f());
-        }
-        let elapsed = start.elapsed();
-        if elapsed >= MIN_MEASURE || iters >= MAX_ITERS {
-            let mean = elapsed / u32::try_from(iters).expect("iteration count fits u32");
-            println!(
-                "{name:<40} {:>12} /iter  ({iters} iters)",
-                format_duration(mean)
-            );
-            return mean;
-        }
-        iters *= 2;
-    }
-}
+use std::time::Duration;
 
 /// Render a duration with a unit suited to its magnitude.
 pub fn format_duration(d: Duration) -> String {

@@ -42,13 +42,6 @@ impl Shard {
             && self.invalidations.is_empty()
             && self.queues.iter().all(VecDeque::is_empty)
     }
-
-    /// Whether the shard must run `begin_cycle` on the very next cycle:
-    /// per-bank preload queues and the one-per-cycle invalidation drain
-    /// make progress every cycle they are non-empty.
-    fn busy_every_cycle(&self) -> bool {
-        !self.invalidations.is_empty() || self.queues.iter().any(|q| !q.is_empty())
-    }
 }
 
 /// Telemetry series names for the recorder-gated per-bank occupancy
@@ -105,11 +98,6 @@ pub struct RegLessBackend {
     /// Outstanding preloads per warp (queued + in flight), indexed by warp.
     /// Warps are sharded disjointly, so one flat array serves every shard.
     preloads_pending: Vec<usize>,
-    /// Whether any shard's CM admitted a warp this cycle. Admission is
-    /// rate-limited to one warp per shard per cycle, so a success means the
-    /// *next* cycle may admit another even with no issue or writeback in
-    /// between — the fast path must not skip it.
-    admitted_now: bool,
     /// Writebacks in flight per `(warp, register)` — a flat `warp ×
     /// num_regs` count array (the same register can have several writes
     /// outstanding), with a per-warp nonzero-entry count so drain setup
@@ -228,7 +216,6 @@ impl RegLessBackend {
             finishing: vec![false; gpu.warps_per_sm],
             activated_at: vec![0; gpu.warps_per_sm],
             preloads_pending: vec![0; gpu.warps_per_sm],
-            admitted_now: false,
             inflight_regs: InflightRegs::new(gpu.warps_per_sm, num_regs),
         }
     }
@@ -475,7 +462,6 @@ impl RegLessBackend {
 
 impl OperandBackend for RegLessBackend {
     fn begin_cycle_with_warps(&mut self, warps: &[WarpState], ctx: &mut BackendCtx<'_>) {
-        self.admitted_now = false;
         // Sample the OSU/CM occupancy census once per stats window: live
         // (active) lines, CM-reserved lines, free lines, and the admission
         // queue depth. Always on — the series feed `regless report`'s
@@ -536,10 +522,7 @@ impl OperandBackend for RegLessBackend {
             let shard = &mut self.shards[s];
 
             // 4. Region transitions driven by warp PCs.
-            for (w, warp) in warps.iter().enumerate() {
-                if w % self.num_scheds != s {
-                    continue;
-                }
+            for (w, warp) in warps.iter().enumerate().skip(s).step_by(self.num_scheds) {
                 match shard.cm.phase(w) {
                     WarpPhase::Active(region) => {
                         let left_region = match warp.pc() {
@@ -592,7 +575,6 @@ impl OperandBackend for RegLessBackend {
                 Some((region, usage))
             });
             if let Some((w, region)) = started {
-                self.admitted_now = true;
                 ctx.stats.trace_event(
                     ctx.now,
                     TraceEvent::RegionPreload {
@@ -804,42 +786,6 @@ impl OperandBackend for RegLessBackend {
 
     fn quiesced(&self) -> bool {
         self.shards.iter().all(Shard::quiesced)
-    }
-
-    fn next_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        // Queued preloads and cache invalidations drain one per bank (or
-        // one per shard) per cycle, so any backlog demands the next cycle;
-        // likewise an admission this cycle means the one-per-cycle
-        // admission scan may admit the next stacked warp next cycle.
-        if self.admitted_now || self.shards.iter().any(Shard::busy_every_cycle) {
-            return Some(now + 1);
-        }
-        let mut wake: Option<Cycle> = None;
-        let mut note = |c: Cycle| {
-            let c = c.max(now + 1);
-            wake = Some(wake.map_or(c, |w| w.min(c)));
-        };
-        for shard in &self.shards {
-            if let Some(&Reverse((done, _))) = shard.inflight.peek() {
-                note(done);
-            }
-        }
-        // A preloading warp with nothing queued or in flight is waiting
-        // only on its region metadata decode before it can activate.
-        for (w, &ready) in self.meta_ready_at.iter().enumerate() {
-            if self.preloads_pending[w] == 0
-                && matches!(
-                    self.shards[self.shard_of(w)].cm.phase(w),
-                    WarpPhase::Preloading(_)
-                )
-            {
-                note(ready);
-            }
-        }
-        // Draining and inactive warps need no wakeup of their own: drain
-        // progress rides the SM's writeback events, and admission inputs
-        // only change on issues or writebacks — both real ticks.
-        wake
     }
 
     fn finish(&mut self, stats: &mut SmStats) {

@@ -101,14 +101,6 @@ impl RegLessSim {
         self.machine.set_cancel_token(token);
     }
 
-    /// Force the stepped (cycle-by-cycle) run loop instead of the
-    /// event-driven fast path (see [`Machine::set_stepped`]). Both paths
-    /// produce byte-identical reports; the stepped loop is the
-    /// differential-testing reference.
-    pub fn set_stepped(&mut self, stepped: bool) {
-        self.machine.set_stepped(stepped);
-    }
-
     /// Attach a shared host-side self profiler (see
     /// [`Machine::attach_self_profiler`]): the run loop records where its
     /// own wall time goes, and the caller keeps the handle to render the

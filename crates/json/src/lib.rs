@@ -43,6 +43,12 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser is
+/// recursive, so unbounded nesting from an untrusted peer would overflow
+/// the parsing thread's stack; every document the repository writes
+/// nests fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Error produced by parsing or by [`FromJson`] conversions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct JsonError {
@@ -188,11 +194,13 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Fails on malformed JSON or trailing garbage.
+    /// Fails on malformed JSON, trailing garbage, or arrays/objects
+    /// nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -242,6 +250,8 @@ fn write_escaped(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -287,8 +297,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(c) => Err(JsonError::new(format!(
                 "unexpected `{}` at byte {}",
@@ -296,6 +306,24 @@ impl Parser<'_> {
             ))),
             None => Err(JsonError::new("unexpected end of input")),
         }
+    }
+
+    /// Parse one array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::new(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -804,6 +832,16 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\":}", "1 2", "nul", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_bounds_nesting_depth() {
+        let err = Json::parse(&"[".repeat(20_000)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than 128"), "{err}");
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{{\"a\":{at_limit}}}");
+        assert!(Json::parse(&over).is_err());
     }
 
     #[test]

@@ -110,29 +110,6 @@ pub trait OperandBackend {
         true
     }
 
-    /// Earliest future cycle at which this backend's `begin_cycle` could do
-    /// observable work (change state, mutate statistics, or unblock a
-    /// warp), given that no warp issues and no writeback retires before
-    /// then. `None` means "never — nothing is pending on my side"; the
-    /// event-driven fast path then only has to respect the writeback event
-    /// heap. The conservative default, `Some(now + 1)`, keeps unknown
-    /// backends on the cycle-by-cycle path (a skip is never taken past a
-    /// backend that cannot vouch for its own quiescence).
-    fn next_wakeup(&self, now: Cycle) -> Option<Cycle> {
-        Some(now + 1)
-    }
-
-    /// The fast path jumped from cycle `from` to cycle `to` (exclusive:
-    /// cycles `from..to` were skipped; `to` itself gets a real tick).
-    /// Backends that mutate statistics unconditionally in `begin_cycle`
-    /// (RFV's throttled-warp-cycle counter) bulk-apply the same mutation
-    /// here so the fast path stays byte-identical to the stepped loop. The
-    /// default is a no-op, correct for backends whose `begin_cycle` is
-    /// stats-silent when idle.
-    fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut SmStats) {
-        let _ = (from, to, stats);
-    }
-
     /// Called exactly once after the run completes, before statistics are
     /// collected: the backend's last chance to fold internal state into
     /// [`SmStats`]. RegLess publishes the OSU's mechanical eviction count
@@ -182,12 +159,6 @@ impl OperandBackend for BaselineRf {
     ) {
         ctx.stats.rf_writes += 1;
         ctx.stats.backing_series.record(ctx.now, 1);
-    }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Stateless: warps unblock only via writebacks (the event heap) or
-        // barriers (which the SM tracks), never via this backend.
-        None
     }
 }
 
@@ -277,12 +248,6 @@ impl OperandBackend for OccupancyLimitedRf {
     fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
         self.admitted.remove(&w);
         self.finished.insert(w);
-    }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Admission is idempotent and only changes when a warp finishes
-        // (an issue-path event), so an idle span never needs a tick here.
-        None
     }
 }
 

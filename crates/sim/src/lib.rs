@@ -59,7 +59,7 @@ pub use interp::{interpret, InterpError, InterpResult};
 pub use mem::{Level, MemAccess, MemSystem, Traffic};
 pub use rf::{collector_conflict_cycles, rf_bank, RF_BANKS};
 pub use sched::Scheduler;
-pub use sm::{load_value, run_baseline, run_baseline_with, Machine, RunReport, SimError, Sm};
+pub use sm::{load_value, run_baseline, Machine, RunReport, SimError, Sm};
 pub use stats::{MemStats, PreloadSource, SmStats, WindowSeries, WorkingSetTracker, WINDOW_CYCLES};
 pub use trace::TraceEvent;
 

@@ -102,19 +102,6 @@ impl MshrFile {
     fn is_full(&self, now: Cycle) -> bool {
         self.completions.iter().filter(|&&c| c > now).count() >= self.capacity
     }
-
-    /// First cycle at which the file is no longer full, assuming no new
-    /// misses are admitted: `is_full(t)` holds exactly for `t <
-    /// full_until()`. With fewer outstanding misses than capacity this is 0
-    /// (never full); otherwise it is the capacity-th largest completion.
-    fn full_until(&self) -> Cycle {
-        let mut live: Vec<Cycle> = self.completions.clone();
-        if live.len() < self.capacity {
-            return 0;
-        }
-        live.sort_unstable_by(|a, b| b.cmp(a));
-        live[self.capacity - 1]
-    }
 }
 
 /// The shared memory system.
@@ -182,22 +169,6 @@ impl MemSystem {
     /// [`regless_telemetry::StallReason::MshrFull`].
     pub fn l1_mshrs_full(&self, sm: usize, now: Cycle) -> bool {
         self.l1_mshrs[sm].is_full(now)
-    }
-
-    /// First cycle at which SM `sm`'s MSHR file stops being full, assuming
-    /// no further misses: `l1_mshrs_full(sm, t)` ⟺ `t <
-    /// l1_mshr_full_until(sm)`. The event-driven fast path uses this to
-    /// bulk-charge a skipped span segment-by-segment with exactly the
-    /// attribution the per-cycle path would have produced.
-    pub fn l1_mshr_full_until(&self, sm: usize) -> Cycle {
-        self.l1_mshrs[sm].full_until()
-    }
-
-    /// First cycle at which SM `sm`'s L1 port has a free slot, assuming no
-    /// further reservations: `l1_port_backlog(sm, t) > 0` ⟺ `t <
-    /// l1_port_free_cycle(sm)`.
-    pub fn l1_port_free_cycle(&self, sm: usize) -> Cycle {
-        self.l1_port[sm].ports.iter().copied().min().unwrap_or(0)
     }
 
     /// Access one 128-byte line of global memory from SM `sm`.

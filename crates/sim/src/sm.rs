@@ -2,25 +2,12 @@
 //!
 //! Each SM steps one cycle at a time: retire due writebacks, let the
 //! operand backend run (RegLess's capacity manager lives there), release
-//! barriers, then let each warp scheduler issue at most one instruction.
+//! barriers, let each warp scheduler issue, then roll the statistics
+//! windows. [`Machine::run`] is the one run loop: it ticks every SM on
+//! every cycle, idle or not.
 //! Functional execution happens at issue; timing is carried by scoreboard
 //! entries that clear at the instruction's writeback time, which for
 //! global accesses comes from the shared memory hierarchy.
-//!
-//! **Event-driven fast path.** Most cycles issue nothing: every warp is
-//! blocked on a scoreboard entry, a barrier, or the staging pipeline. When
-//! a tick proves that state (nothing issued, no warp was even ready, no
-//! barrier is about to release), [`Machine::run`] jumps `now` straight to
-//! the earliest cycle anything is due — the writeback event heap or the
-//! backend's [`OperandBackend::next_wakeup`] — and bulk-charges the skipped
-//! issue slots to the same [`StallReason`]s the stepped loop would have
-//! picked, preserving the conservation law `Σ reasons == cycles × issue
-//! slots` exactly. Jumps are clamped to the next stats-window and
-//! cancellation-poll boundaries so window samplers and deadline latency
-//! behave identically. `REGLESS_SIM=stepped` (or
-//! [`Machine::set_stepped`]) forces the original cycle-by-cycle loop,
-//! kept as the differential-testing reference: both paths produce
-//! byte-identical [`RunReport::stable_json`] output.
 
 use crate::backend::{BackendCtx, OperandBackend};
 use crate::config::{Cycle, GpuConfig};
@@ -136,20 +123,6 @@ impl Ord for Event {
     }
 }
 
-/// What one [`Sm::tick`] proved about the cycles ahead: whether the SM can
-/// be fast-forwarded without simulating each cycle, and the earliest
-/// future cycle at which anything on this SM is due.
-#[derive(Clone, Copy, Debug)]
-struct TickOutcome {
-    /// Nothing issued, no warp was ready in any slot, and no barrier is
-    /// about to release: until an event fires, every further tick would
-    /// repeat this one's idle accounting verbatim.
-    skippable: bool,
-    /// Earliest due writeback or backend wakeup; `None` when nothing is
-    /// pending (the SM is done or hard-blocked on another SM's progress).
-    next_wakeup: Option<Cycle>,
-}
-
 /// One SM: warps, schedulers, in-flight writebacks, and the operand
 /// backend.
 pub struct Sm<B> {
@@ -161,10 +134,6 @@ pub struct Sm<B> {
     scheds: Vec<Scheduler>,
     events: BinaryHeap<Reverse<Event>>,
     next_event_seq: u64,
-    /// Per-scheduler highest-priority blocked warp from the last tick's
-    /// idle slots, reused by [`Sm::skip_to`] to bulk-charge skipped cycles
-    /// (the blocked set is frozen while nothing issues and no event fires).
-    skip_blocked: Vec<Option<(StallReason, usize)>>,
     /// Each warp's current [`WarpBlock`], kept incrementally: warp state
     /// changes only at issue, writeback retire, and barrier release, so
     /// refreshing at those three points lets the per-slot scan read an
@@ -190,7 +159,6 @@ impl<B: OperandBackend> Sm<B> {
             .map(|_| Scheduler::new(config.scheduler, config.warps_per_scheduler()))
             .collect();
         let live_warps = warps.len();
-        let num_scheds = scheds.len();
         let block_cache = warps
             .iter()
             .map(|w| w.block_reason(compiled.kernel()))
@@ -203,7 +171,6 @@ impl<B: OperandBackend> Sm<B> {
             scheds,
             events: BinaryHeap::new(),
             next_event_seq: 0,
-            skip_blocked: vec![None; num_scheds],
             block_cache,
             ready_buf: Vec::new(),
             live_warps,
@@ -231,12 +198,7 @@ impl<B: OperandBackend> Sm<B> {
     /// (`None` when disabled): the phase guards below time host wall
     /// clock only and never touch simulated state, so profiled and
     /// unprofiled runs stay byte-identical.
-    fn tick(
-        &mut self,
-        now: Cycle,
-        mem: &mut MemSystem,
-        prof: Option<&SelfProfiler>,
-    ) -> TickOutcome {
+    fn tick(&mut self, now: Cycle, mem: &mut MemSystem, prof: Option<&SelfProfiler>) {
         // 1. Retire writebacks due now. The payload lives in the heap
         // entry itself, so a popped event always has its data with it.
         let wb_guard = SelfProfiler::scope_opt(prof, "writeback");
@@ -276,12 +238,9 @@ impl<B: OperandBackend> Sm<B> {
         }
 
         // 3. Barrier release, per thread block: a barrier synchronizes the
-        // warps of one block, not the whole SM. A release changes warp
-        // state that backends sample in `begin_cycle` (a warp leaving
-        // `at_barrier` becomes an admission candidate), so the tick after a
-        // release must be real even if this one issues nothing.
-        let mut barrier_released = false;
+        // warps of one block, not the whole SM.
         if self.live_warps > 0 {
+            let mut barrier_released = false;
             let bs = self.config.warps_per_block;
             for (bi, block) in self.warps.chunks_mut(bs).enumerate() {
                 let any_waiting = block.iter().any(|w| w.at_barrier);
@@ -310,8 +269,6 @@ impl<B: OperandBackend> Sm<B> {
         let issue_guard = SelfProfiler::scope_opt(prof, "issue");
         let num_scheds = self.scheds.len();
         let per_sched = self.config.warps_per_scheduler();
-        let mut issued_any = false;
-        let mut all_ready_empty = true;
         for s in 0..num_scheds {
             for _slot in 0..self.config.issue_slots_per_scheduler {
                 self.ready_buf.clear();
@@ -341,19 +298,11 @@ impl<B: OperandBackend> Sm<B> {
                         blocked = Some((reason, w));
                     }
                 }
-                if !self.ready_buf.is_empty() {
-                    // `pick` on a non-empty set may rotate scheduler state
-                    // even when it declines, so such a tick cannot seed a
-                    // skip (replaying it would not be a no-op).
-                    all_ready_empty = false;
-                }
                 let Some(local) = self.scheds[s].pick(&self.ready_buf) else {
                     self.stats.idle_slots += 1;
-                    self.skip_blocked[s] = blocked;
                     self.charge_idle_slot(blocked, now, mem);
                     continue;
                 };
-                issued_any = true;
                 let w = local * num_scheds + s;
                 let took_bubble = {
                     let mut ctx = BackendCtx {
@@ -389,91 +338,6 @@ impl<B: OperandBackend> Sm<B> {
             self.stats.cm_queue_series.roll(now);
             self.stats.cycles = now + 1;
         }
-
-        // 6. Prove (or refuse) skippability for the cycles ahead. A barrier
-        // about to release would change warp state on the very next tick,
-        // so it pins the stepped path; it should be unreachable from a
-        // no-issue tick (the releasing issue runs phase 3 next tick), but
-        // the check is cheap insurance against charging through a release.
-        let mut barrier_pending = false;
-        if self.live_warps > 0 {
-            let bs = self.config.warps_per_block;
-            for block in self.warps.chunks(bs) {
-                let any_waiting = block.iter().any(|w| w.at_barrier);
-                let all_at_barrier = block.iter().filter(|w| !w.finished()).all(|w| w.at_barrier);
-                if any_waiting && all_at_barrier {
-                    barrier_pending = true;
-                }
-            }
-        }
-        let mut wakeup = self.backend.next_wakeup(now);
-        if let Some(Reverse(e)) = self.events.peek() {
-            // Post-retire, every queued event is due strictly after `now`.
-            wakeup = Some(wakeup.map_or(e.due, |w| w.min(e.due)));
-        }
-        if barrier_released {
-            // The released warps must be re-examined next tick.
-            wakeup = Some(wakeup.map_or(now + 1, |w| w.min(now + 1)));
-        }
-        TickOutcome {
-            skippable: !issued_any && all_ready_empty && !barrier_pending,
-            next_wakeup: wakeup,
-        }
-    }
-
-    /// Bulk-account the idle cycles `from..to` (exclusive of `to`, which
-    /// gets a real [`Sm::tick`]) that [`Machine::run`] fast-forwarded over.
-    /// Each skipped cycle would have charged every issue slot to the same
-    /// reason the last stepped tick found (the blocked set is frozen while
-    /// nothing issues and no event fires), so the charge is a multiply —
-    /// except the memory-state refinement of `CmPreloadWait`, whose two
-    /// probes move monotonically: MSHRs stay full until a fixed completion
-    /// cycle and the L1 port backlog drains at a fixed free cycle, so the
-    /// span splits into at most three runs charged in order.
-    fn skip_to(&mut self, from: Cycle, to: Cycle, mem: &MemSystem) {
-        debug_assert!(from < to);
-        let span = to - from;
-        let slots = self.config.issue_slots_per_scheduler as u64;
-        for s in 0..self.scheds.len() {
-            self.stats.idle_slots += span * slots;
-            match self.skip_blocked[s] {
-                None => {
-                    self.stats
-                        .charge_slot_many(StallReason::NoWarp, None, None, span * slots);
-                }
-                Some((reason, w)) => {
-                    let region = self.warps[w].pc().map(|pc| self.compiled.region_at(pc).0);
-                    if reason == StallReason::CmPreloadWait {
-                        // full(t) ⟺ t < c1; backlog(t) > 0 ⟺ t < c2.
-                        let c1 = mem.l1_mshr_full_until(self.id).clamp(from, to);
-                        let c2 = mem.l1_port_free_cycle(self.id).clamp(c1, to);
-                        self.stats.charge_slot_many(
-                            StallReason::MshrFull,
-                            Some(w),
-                            region,
-                            (c1 - from) * slots,
-                        );
-                        self.stats.charge_slot_many(
-                            StallReason::L1PortBusy,
-                            Some(w),
-                            region,
-                            (c2 - c1) * slots,
-                        );
-                        self.stats.charge_slot_many(
-                            StallReason::CmPreloadWait,
-                            Some(w),
-                            region,
-                            (to - c2) * slots,
-                        );
-                    } else {
-                        self.stats
-                            .charge_slot_many(reason, Some(w), region, span * slots);
-                    }
-                }
-            }
-        }
-        self.stats.cycles = to;
-        self.backend.on_skip(from, to, &mut self.stats);
     }
 
     /// Charge an issue slot that went unused. `blocked` carries the
@@ -827,12 +691,8 @@ pub struct Machine<B> {
     sms: Vec<Sm<B>>,
     config: GpuConfig,
     cancel: Option<crate::CancelToken>,
-    /// Force the original cycle-by-cycle loop (no skip-ahead). Kept as the
-    /// differential-testing reference; both paths produce byte-identical
-    /// reports.
-    stepped: bool,
     /// Host-side self profiler timing where the simulator's own wall time
-    /// goes (issue vs writeback vs backend vs skip-ahead). `None` unless
+    /// goes (issue vs writeback vs backend vs stats windows). `None` unless
     /// `REGLESS_SELFPROF` is set or a caller attached one; purely a
     /// host-clock observer, so reports stay byte-identical either way.
     selfprof: Option<Arc<SelfProfiler>>,
@@ -860,7 +720,6 @@ impl<B: OperandBackend> Machine<B> {
             sms,
             config,
             cancel: None,
-            stepped: std::env::var_os("REGLESS_SIM").is_some_and(|v| v == "stepped"),
             selfprof: selfprof_auto.then(|| Arc::new(SelfProfiler::new(true))),
             selfprof_auto,
         }
@@ -873,14 +732,6 @@ impl<B: OperandBackend> Machine<B> {
     pub fn attach_self_profiler(&mut self, prof: Arc<SelfProfiler>) {
         self.selfprof = Some(prof);
         self.selfprof_auto = false;
-    }
-
-    /// Force (`true`) or disable (`false`) the stepped cycle-by-cycle loop,
-    /// overriding the `REGLESS_SIM=stepped` environment escape hatch. Tests
-    /// use this rather than the env var, which is racy under a parallel
-    /// test runner.
-    pub fn set_stepped(&mut self, stepped: bool) {
-        self.stepped = stepped;
     }
 
     /// Attach a cooperative [`crate::CancelToken`]: the run loop polls it
@@ -917,42 +768,8 @@ impl<B: OperandBackend> Machine<B> {
                         .collect(),
                 });
             }
-            // Seed with the fast path enabled; any SM that issued (or might
-            // on the next cycle) pins the machine to single-stepping.
-            let mut skippable = !self.stepped;
-            let mut wakeup: Option<Cycle> = None;
             for sm in &mut self.sms {
-                let out = sm.tick(now, &mut self.mem, prof.as_deref());
-                skippable &= out.skippable;
-                if let Some(due) = out.next_wakeup {
-                    wakeup = Some(wakeup.map_or(due, |w| w.min(due)));
-                }
-            }
-            // A backend can finish draining inside an otherwise idle tick,
-            // so re-check completion before committing to a skip.
-            if skippable && !self.sms.iter().all(Sm::all_done) {
-                // Jump to the earliest due event, clamped to the next
-                // stats-window boundary (RegLess's census samples on
-                // multiples of WINDOW_CYCLES), the next cancellation-poll
-                // boundary (deadline latency stays bounded), and the cycle
-                // limit. With no wakeup anywhere, the window clamp alone
-                // bounds the jump; progress then depends on another SM,
-                // whose events are visible only machine-wide.
-                let window = (now / crate::stats::WINDOW_CYCLES + 1) * crate::stats::WINDOW_CYCLES;
-                let poll = (now / crate::cancel::DEADLINE_CHECK_CYCLES + 1)
-                    * crate::cancel::DEADLINE_CHECK_CYCLES;
-                let mut target = window.min(poll).min(self.config.max_cycles);
-                if let Some(w) = wakeup {
-                    target = target.min(w);
-                }
-                if target > now + 1 {
-                    let _g = SelfProfiler::scope_opt(prof.as_deref(), "event_jump");
-                    for sm in &mut self.sms {
-                        sm.skip_to(now + 1, target, &self.mem);
-                    }
-                    now = target;
-                    continue;
-                }
+                sm.tick(now, &mut self.mem, prof.as_deref());
             }
             now += 1;
         }
@@ -1090,19 +907,7 @@ pub fn run_baseline(
     config: GpuConfig,
     compiled: Arc<CompiledKernel>,
 ) -> Result<RunReport, SimError> {
-    run_baseline_with(config, compiled, false)
-}
-
-/// [`run_baseline`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop (see [`Machine::set_stepped`]).
-pub fn run_baseline_with(
-    config: GpuConfig,
-    compiled: Arc<CompiledKernel>,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
-    let mut machine = Machine::new(config, compiled, |_| crate::backend::BaselineRf::new());
-    machine.set_stepped(stepped);
-    machine.run()
+    Machine::new(config, compiled, |_| crate::backend::BaselineRf::new()).run()
 }
 
 #[cfg(test)]

@@ -313,33 +313,6 @@ impl SmStats {
         }
     }
 
-    /// Charge `n` issue slots to `reason` in one shot — the bulk form of
-    /// [`charge_slot`](Self::charge_slot) used by the event-driven fast
-    /// path when it jumps over a span of provably idle cycles. The
-    /// conservation law (`Σ reasons == cycles × issue slots`) is preserved
-    /// because the caller charges exactly `span × slots` this way.
-    pub fn charge_slot_many(
-        &mut self,
-        reason: StallReason,
-        warp: Option<usize>,
-        region: Option<u32>,
-        n: u64,
-    ) {
-        if n == 0 {
-            return;
-        }
-        self.issue_stack.charge_n(reason, n);
-        if let Some(w) = warp {
-            if self.warp_stacks.len() <= w {
-                self.warp_stacks.resize(w + 1, IssueStack::new());
-            }
-            self.warp_stacks[w].charge_n(reason, n);
-        }
-        if let Some(r) = region {
-            self.region_stacks.entry(r).or_default().charge_n(reason, n);
-        }
-    }
-
     /// Record a preload outcome.
     pub fn record_preload(&mut self, source: PreloadSource) {
         match source {

@@ -93,11 +93,6 @@
 //! to a `.asm` file in the textual format of [`regless::isa::text`].
 //! Chrome traces load in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! `REGLESS_SIM=stepped` in the environment forces the cycle-by-cycle
-//! reference run loop instead of the event-driven fast path. Both loops
-//! produce byte-identical reports (CI diffs them); the variable exists
-//! for differential debugging and for measuring fast-path speedup.
-//!
 //! `REGLESS_SELFPROF=1` turns on the simulator's host-side self profiler
 //! everywhere (run loop phases, sweep-engine pipeline): tables land on
 //! stderr and the phase counters join the serve/cluster metrics surface.
@@ -196,8 +191,6 @@ fn print_usage() {
          \u{20}  worker [options]          cluster worker (options: --connect <host:port>, --name <s>,\n\
          \u{20}                            --fail-after <n>)\n\n\
          <kernel> is a benchmark name or a path to a .asm file\n\
-         REGLESS_SIM=stepped forces the cycle-by-cycle reference run loop\n\
-         (byte-identical reports; for differential debugging and speed bench)\n\
          REGLESS_SELFPROF=1 times the simulator's own phases everywhere\n\
          (host wall clock only; simulated results stay byte-identical)"
     );
@@ -1288,7 +1281,6 @@ fn cmd_trends(args: &[String]) -> CmdResult {
             .map_or(0, |d| d.as_secs());
         let sources = [
             ("profile", "BENCH_profile.json"),
-            ("sim_speed", "BENCH_sim_speed.json"),
             ("serve", "BENCH_serve.json"),
             ("cluster", "BENCH_cluster.json"),
         ];

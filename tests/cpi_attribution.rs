@@ -49,9 +49,10 @@ fn run_small(kernel: &Kernel, design: usize, capacity: usize) -> RunReport {
 }
 
 /// Assert the conservation law on one report: per SM,
-/// Σ per-reason slots == cycles × schedulers × issue slots, and the
-/// per-warp stacks sum to the SM stack for every reason except `NoWarp`
-/// (which has no warp to blame and stays SM-level).
+/// Σ per-reason slots == cycles × schedulers × issue slots, `idle_slots`
+/// counts exactly the slots that issued nothing, and the per-warp stacks
+/// sum to the SM stack for every reason except `NoWarp` (which has no
+/// warp to blame and stays SM-level).
 fn assert_conservation(report: &RunReport, gpu: &GpuConfig) {
     let slots_per_cycle = (gpu.schedulers_per_sm * gpu.issue_slots_per_scheduler) as u64;
     for (i, sm) in report.sm_stats.iter().enumerate() {
@@ -59,6 +60,11 @@ fn assert_conservation(report: &RunReport, gpu: &GpuConfig) {
             sm.issue_stack.total(),
             report.cycles * slots_per_cycle,
             "SM {i}: Σ reasons must equal cycles × issue slots"
+        );
+        assert_eq!(
+            sm.idle_slots,
+            sm.issue_stack.total() - sm.issue_stack.get(StallReason::Issued),
+            "SM {i}: idle_slots must count exactly the slots that issued nothing"
         );
         let mut warp_sum = IssueStack::new();
         for w in &sm.warp_stacks {
@@ -115,6 +121,34 @@ proptest! {
             prop_assert_eq!(sm.issue_stack.get(StallReason::Issued), sm.insns);
         }
     }
+}
+
+/// Conservation on a plain baseline run, as a fixed spot check next to
+/// the sampled property above.
+#[test]
+fn baseline_run_conserves_slots_and_idle_slots() {
+    let gpu = GpuConfig::test_small();
+    let compiled = compile(&micro::streaming(8), &RegionConfig::default()).expect("compile");
+    let report = run_baseline(gpu, Arc::new(compiled)).expect("runs");
+    assert_conservation(&report, &gpu);
+}
+
+/// The `idle_cycles` → `idle_slots` regression test: with more than one
+/// issue slot per scheduler, an idle cycle burns *slots_per_scheduler*
+/// slots per scheduler, not one. The old counter incremented once per
+/// idle scheduler-cycle and undercounted dual-issue machines.
+#[test]
+fn idle_slots_counts_per_slot_under_dual_issue() {
+    let gpu = GpuConfig {
+        issue_slots_per_scheduler: 2,
+        ..GpuConfig::test_small()
+    };
+    let compiled = compile(&micro::pointer_chase(4), &RegionConfig::default()).expect("compile");
+    let report = run_baseline(gpu, Arc::new(compiled)).expect("runs");
+    assert_conservation(&report, &gpu);
+    // A dependent chain cannot dual-issue every cycle, so some slots must
+    // sit idle.
+    assert!(report.sm_stats.iter().all(|sm| sm.idle_slots > 0));
 }
 
 /// Merging SM stacks (the `RunReport::issue_stack` path) is associative:

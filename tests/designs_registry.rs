@@ -4,7 +4,7 @@
 //! designs stay pairwise distinct (so sweep fingerprints cannot collide).
 
 use regless::bench::registry::{self, DesignParams};
-use regless::bench::{run_design_with, DesignKind};
+use regless::bench::{run_design, DesignKind};
 use regless::workloads::micro;
 use regless_json::Json;
 
@@ -87,7 +87,7 @@ fn every_registered_id_resolves_to_a_distinct_design() {
 fn every_registered_design_runs_a_kernel() {
     let kernel = micro::streaming(2);
     for entry in registry::all() {
-        let report = run_design_with(&kernel, entry.default_design(), false);
+        let report = run_design(&kernel, entry.default_design());
         assert!(
             report.cycles > 0 && report.total().insns > 0,
             "{} produced an empty report",
