@@ -5,7 +5,7 @@
 //! CPI stacks, window series or eviction taxonomy on any covered point
 //! shows up as a one-line diff naming the point.
 //!
-//! The tier-1 test runs the micro suite on the small test machine; the
+//! The tier-1 tests run the micro suite on the small test machine; the
 //! `#[ignore]`d one runs all 21 Rodinia kernels × 7 designs on the
 //! evaluation machine (`cargo test --release --test stable_digest --
 //! --ignored`). On a mismatch the fresh digest is written next to the
@@ -109,6 +109,35 @@ fn micro_suite_reports_match_golden_digest() {
         lines.push(digest_line(&format!("{name}.baseline-dual-issue"), &report));
     }
     assert_matches_golden("stable_digest.txt", &lines);
+}
+
+/// Every registered design except the baseline (pinned above) on a
+/// dual-issue machine, and RegLess at the capacities the test above
+/// skips, on each micro kernel: the multi-slot stall charging and the OSU
+/// staging/eviction paths that only those capacities reach.
+#[test]
+fn dual_issue_and_capacity_sweep_match_golden_digest() {
+    let gpu = GpuConfig::test_small();
+    let dual = GpuConfig {
+        issue_slots_per_scheduler: 2,
+        ..gpu
+    };
+    let mut lines = Vec::new();
+    for kernel in micro_kernels() {
+        let name = kernel.name();
+        for entry in registry::all().iter().filter(|e| e.id != "baseline") {
+            let report = run_on(dual, &kernel, entry.default_design());
+            lines.push(digest_line(
+                &format!("{name}.{}-dual-issue", entry.id),
+                &report,
+            ));
+        }
+        for entries in [64, 256] {
+            let report = run_on(gpu, &kernel, DesignKind::RegLess { entries });
+            lines.push(digest_line(&format!("{name}.regless-c{entries}"), &report));
+        }
+    }
+    assert_matches_golden("stable_digest_sweep.txt", &lines);
 }
 
 /// All 21 Rodinia kernels × every registered design, exactly as the
