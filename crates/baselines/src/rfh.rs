@@ -11,9 +11,8 @@
 //! scheduler is integral to the technique (active warps own the LRF/RFC).
 
 use regless_compiler::CompiledKernel;
-use regless_isa::{InsnRef, Instruction, Kernel, LaneVec, Reg};
+use regless_isa::{InsnRef, Instruction, Kernel, LaneVec, Reg, MAX_SRCS};
 use regless_sim::{BackendCtx, Cycle, OperandBackend, SchedulerKind};
-use std::collections::HashMap;
 
 /// The storage level a value is allocated to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,20 +34,31 @@ const LRF_DISTANCE: usize = 2;
 /// placement, mirroring the 6-entry RFC of the original design.
 const RFC_WINDOW: usize = 12;
 
+/// Placement of one instruction's accesses.
+#[derive(Clone, Copy, Debug, Default)]
+struct InsnPlacement {
+    /// Level the result is written to (`None`: no placed definition).
+    def: Option<RfhLevel>,
+    /// Level each placed source register is read from; an instruction
+    /// reads at most [`MAX_SRCS`] distinct registers.
+    reads: [Option<(Reg, RfhLevel)>; MAX_SRCS],
+}
+
 /// Static placement of every read and write.
 #[derive(Clone, Debug)]
 pub struct RfhPlacement {
-    /// Level of each defining instruction's result.
-    def_level: HashMap<InsnRef, RfhLevel>,
-    /// Level each (instruction, source register) read comes from.
-    read_level: HashMap<(InsnRef, Reg), RfhLevel>,
+    /// Per instruction, `insns[block][idx]`.
+    insns: Vec<Vec<InsnPlacement>>,
 }
 
 impl RfhPlacement {
     /// Run the placement analysis using the kernel's liveness facts.
     pub fn analyze(kernel: &Kernel, liveness: &regless_compiler::Liveness) -> Self {
-        let mut def_level = HashMap::new();
-        let mut read_level = HashMap::new();
+        let mut table: Vec<Vec<InsnPlacement>> = kernel
+            .blocks()
+            .iter()
+            .map(|b| vec![InsnPlacement::default(); b.insns().len()])
+            .collect();
         for block in kernel.blocks() {
             let insns = block.insns();
             for (i, insn) in insns.iter().enumerate() {
@@ -81,51 +91,52 @@ impl RfhPlacement {
                 } else {
                     RfhLevel::Mrf
                 };
-                def_level.insert(at, level);
+                let row = &mut table[block.id().index()];
+                row[at.idx].def = Some(level);
                 for &j in &uses {
-                    read_level.insert(
-                        (
-                            InsnRef {
-                                block: block.id(),
-                                idx: j,
-                            },
-                            d,
-                        ),
-                        level,
-                    );
+                    let reads = &mut row[j].reads;
+                    let slot = reads
+                        .iter()
+                        .position(|r| r.is_none_or(|(reg, _)| reg == d))
+                        .expect("an instruction reads at most MAX_SRCS registers");
+                    reads[slot] = Some((d, level));
                 }
             }
         }
-        RfhPlacement {
-            def_level,
-            read_level,
-        }
+        RfhPlacement { insns: table }
     }
 
     /// Level a definition writes to.
     pub fn def_level(&self, at: InsnRef) -> RfhLevel {
-        self.def_level.get(&at).copied().unwrap_or(RfhLevel::Mrf)
+        self.insns[at.block.index()][at.idx]
+            .def
+            .unwrap_or(RfhLevel::Mrf)
     }
 
     /// Level a read comes from.
     pub fn read_level(&self, at: InsnRef, reg: Reg) -> RfhLevel {
-        self.read_level
-            .get(&(at, reg))
-            .copied()
-            .unwrap_or(RfhLevel::Mrf)
+        self.insns[at.block.index()][at.idx]
+            .reads
+            .iter()
+            .flatten()
+            .find(|&&(r, _)| r == reg)
+            .map_or(RfhLevel::Mrf, |&(_, level)| level)
     }
 
     /// Fraction of reads that avoid the MRF (for sanity checks).
     pub fn non_mrf_read_fraction(&self) -> f64 {
-        if self.read_level.is_empty() {
+        let reads = || {
+            self.insns
+                .iter()
+                .flatten()
+                .flat_map(|p| p.reads.iter().flatten())
+        };
+        let total = reads().count();
+        if total == 0 {
             return 0.0;
         }
-        let hits = self
-            .read_level
-            .values()
-            .filter(|&&l| l != RfhLevel::Mrf)
-            .count();
-        hits as f64 / self.read_level.len() as f64
+        let hits = reads().filter(|&&(_, l)| l != RfhLevel::Mrf).count();
+        hits as f64 / total as f64
     }
 }
 

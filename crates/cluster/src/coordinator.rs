@@ -25,8 +25,8 @@ use crate::WorkUnit;
 use regless_bench::sweep::SweepEngine;
 use regless_json::{FromJson, Json, ToJson};
 use regless_serve::proto::{
-    check_protocol_version, read_json_line, write_json_line, ErrorBody, ErrorCode, Request,
-    RequestKind, Response, PROTOCOL_VERSION,
+    check_protocol_version, frame_error_reply, read_json_line, write_json_line, ErrorBody,
+    ErrorCode, Request, RequestKind, Response, PROTOCOL_VERSION,
 };
 use regless_sim::RunReport;
 use regless_telemetry::obs::{
@@ -428,7 +428,13 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         let json = match read_json_line(&mut reader) {
             Ok(Some(v)) => v,
-            Ok(None) | Err(_) => return,
+            Ok(None) => return,
+            Err(e) => {
+                if let Some(reply) = frame_error_reply(&e) {
+                    let _ = write_json_line(&mut writer, &reply.to_json());
+                }
+                return;
+            }
         };
         let id = json
             .field_opt("id")

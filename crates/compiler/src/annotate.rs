@@ -18,7 +18,6 @@ use crate::liveness::Liveness;
 use crate::region::{Region, RegionId};
 use crate::regset::RegSet;
 use regless_isa::{BlockId, InsnRef, Kernel, Reg};
-use std::collections::HashMap;
 
 /// How a source operand's last use within a region is handled.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,7 +52,9 @@ impl InsnNotes {
 /// All lifetime annotations for one compiled kernel.
 #[derive(Clone, Debug)]
 pub struct Annotations {
-    notes: HashMap<InsnRef, InsnNotes>,
+    /// Per instruction, `notes[block][idx]`; unannotated instructions hold
+    /// default (empty) notes.
+    notes: Vec<Vec<InsnNotes>>,
     /// Per region: registers whose L1 copies are invalidated when the
     /// region starts.
     cache_invalidates: Vec<Vec<Reg>>,
@@ -62,7 +63,8 @@ pub struct Annotations {
 impl Annotations {
     /// Notes for one instruction, if any.
     pub fn notes(&self, at: InsnRef) -> Option<&InsnNotes> {
-        self.notes.get(&at)
+        let notes = &self.notes[at.block.index()][at.idx];
+        (!notes.is_default()).then_some(notes)
     }
 
     /// Registers invalidated in the L1 when `region` begins.
@@ -72,7 +74,11 @@ impl Annotations {
 
     /// Total number of annotated instructions (used in tests and stats).
     pub fn annotated_insns(&self) -> usize {
-        self.notes.len()
+        self.notes
+            .iter()
+            .flatten()
+            .filter(|notes| !notes.is_default())
+            .count()
     }
 }
 
@@ -83,7 +89,11 @@ pub fn annotate(
     liveness: &Liveness,
     regions: &[Region],
 ) -> Annotations {
-    let mut notes = HashMap::new();
+    let mut notes: Vec<Vec<InsnNotes>> = kernel
+        .blocks()
+        .iter()
+        .map(|b| vec![InsnNotes::default(); b.insns().len()])
+        .collect();
     for region in regions {
         annotate_region(kernel, liveness, region, &mut notes);
     }
@@ -105,7 +115,7 @@ fn annotate_region(
     kernel: &Kernel,
     liveness: &Liveness,
     region: &Region,
-    notes: &mut HashMap<InsnRef, InsnNotes>,
+    notes: &mut [Vec<InsnNotes>],
 ) {
     let insns = kernel.block(region.block()).insns();
     let mut accessed_later = RegSet::new(kernel.num_regs() as usize);
@@ -144,9 +154,7 @@ fn annotate_region(
             }
             accessed_later.insert(s);
         }
-        if !note.is_default() {
-            notes.insert(at, note);
-        }
+        notes[at.block.index()][idx] = note;
     }
 }
 
@@ -168,16 +176,12 @@ fn place_cache_invalidates(
         cross.union_with(r.outputs());
     }
     // First region of each block, for attaching the annotation.
-    let mut first_region_of_block: HashMap<BlockId, RegionId> = HashMap::new();
+    let mut first_region_of_block: Vec<Option<RegionId>> = vec![None; kernel.num_blocks()];
     for r in regions {
-        first_region_of_block
-            .entry(r.block())
-            .and_modify(|cur| {
-                if r.start() == 0 {
-                    *cur = r.id();
-                }
-            })
-            .or_insert(r.id());
+        let cur = &mut first_region_of_block[r.block().index()];
+        if cur.is_none() || r.start() == 0 {
+            *cur = Some(r.id());
+        }
     }
 
     for reg in cross.iter() {
@@ -217,7 +221,7 @@ fn place_cache_invalidates(
             .copied()
             .find(|&c| candidates.iter().all(|&o| dom.postdominates(o, c)));
         if let Some(block) = nearest {
-            if let Some(&rid) = first_region_of_block.get(&block) {
+            if let Some(rid) = first_region_of_block[block.index()] {
                 out[rid.index()].push(reg);
             }
         }

@@ -19,6 +19,9 @@ pub struct DomInfo {
     doms: Vec<Vec<u64>>,
     /// `pdoms[b]` = bitmap of blocks postdominating `b` (including `b`).
     pdoms: Vec<Vec<u64>>,
+    /// `ipdom[b]` = immediate postdominator of `b`, computed once because
+    /// the simulator asks at every divergent branch.
+    ipdom: Vec<Option<BlockId>>,
     num_blocks: usize,
 }
 
@@ -107,11 +110,16 @@ impl DomInfo {
 
         let doms = solve(n, &[kernel.entry().index()], &preds, &forward_order);
         let pdoms = solve(n, &exits, &succs, &backward_order);
-        DomInfo {
+        let mut info = DomInfo {
             doms,
             pdoms,
+            ipdom: Vec::new(),
             num_blocks: n,
-        }
+        };
+        info.ipdom = (0..n)
+            .map(|b| info.find_immediate_postdominator(BlockId(b as u32)))
+            .collect();
+        info
     }
 
     /// Whether `a` dominates `b` (reflexively).
@@ -147,6 +155,11 @@ impl DomInfo {
     /// The simulator uses this as the SIMT reconvergence point of divergent
     /// branches.
     pub fn immediate_postdominator(&self, b: BlockId) -> Option<BlockId> {
+        self.ipdom[b.index()]
+    }
+
+    /// Search the postdominator sets for `b`'s immediate postdominator.
+    fn find_immediate_postdominator(&self, b: BlockId) -> Option<BlockId> {
         let strict: Vec<BlockId> = self
             .postdominators(b)
             .into_iter()
@@ -257,6 +270,19 @@ mod proptests {
                 let b = BlockId(b);
                 prop_assert!(d.postdominates(b, b), "reflexive");
                 prop_assert!(d.postdominates(exit, b), "exit postdominates all");
+                // The precomputed immediate postdominator is the nearest
+                // strict postdominator: every other one postdominates it.
+                let strict: Vec<BlockId> =
+                    d.postdominators(b).into_iter().filter(|&p| p != b).collect();
+                match d.immediate_postdominator(b) {
+                    Some(ip) => {
+                        prop_assert!(strict.contains(&ip), "ipdom strictly postdominates");
+                        for &o in &strict {
+                            prop_assert!(d.postdominates(o, ip), "ipdom is nearest");
+                        }
+                    }
+                    None => prop_assert!(strict.is_empty(), "only exits lack an ipdom"),
+                }
             }
             for a in 0..n {
                 for b in 0..n {

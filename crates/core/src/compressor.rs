@@ -8,6 +8,7 @@
 //! one 128-byte cache line. The compressor keeps a small internal cache of
 //! compressed lines; lines that fall out of it travel through the L1.
 
+use crate::warpmap::WarpRegMap;
 use regless_isa::{LaneVec, Reg, WARP_WIDTH};
 
 /// Which value patterns the compressor matches — the pattern-set ablation
@@ -233,7 +234,7 @@ pub struct CompressedHit {
 pub struct Compressor {
     /// Register → compressed value. Presence here is the paper's
     /// "compressed" bit vector.
-    table: std::collections::HashMap<(usize, Reg), Compressed>,
+    table: WarpRegMap<Compressed>,
     /// Internal cache of compressed line ids (LRU).
     cache: Vec<(u64, u64)>,
     capacity: usize,
@@ -259,7 +260,7 @@ impl Compressor {
         patterns: PatternSet,
     ) -> Self {
         Compressor {
-            table: std::collections::HashMap::new(),
+            table: WarpRegMap::new(),
             cache: Vec::new(),
             capacity: cache_lines.max(1),
             warps_per_sm,
@@ -298,7 +299,7 @@ impl Compressor {
     /// Whether the register is currently stored compressed (the bit-vector
     /// check that precedes any line fetch).
     pub fn is_compressed(&self, warp: usize, reg: Reg) -> bool {
-        self.table.contains_key(&(warp, reg))
+        self.table.contains(warp, reg)
     }
 
     /// Offer an evicted register value.
@@ -310,7 +311,7 @@ impl Compressor {
             Some(c) => {
                 let line = self.line_of(warp, reg);
                 let line_miss = self.touch_line(line);
-                self.table.insert((warp, reg), c);
+                self.table.insert(warp, reg, c);
                 StoreOutcome::Compressed {
                     line_miss,
                     kind: c.kind(),
@@ -318,7 +319,7 @@ impl Compressor {
             }
             None => {
                 // A stale compressed copy must not shadow the new value.
-                self.table.remove(&(warp, reg));
+                self.table.remove(warp, reg);
                 StoreOutcome::Incompressible
             }
         }
@@ -326,7 +327,7 @@ impl Compressor {
 
     /// Fetch a compressed register during preload, if present.
     pub fn load(&mut self, warp: usize, reg: Reg) -> Option<CompressedHit> {
-        let c = *self.table.get(&(warp, reg))?;
+        let c = *self.table.get(warp, reg)?;
         let line = self.line_of(warp, reg);
         let line_miss = self.touch_line(line);
         Some(CompressedHit {
@@ -337,7 +338,7 @@ impl Compressor {
 
     /// Drop a register (invalidating read or cache-invalidate annotation).
     pub fn invalidate(&mut self, warp: usize, reg: Reg) {
-        self.table.remove(&(warp, reg));
+        self.table.remove(warp, reg);
     }
 
     /// Number of registers currently held compressed.

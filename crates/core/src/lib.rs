@@ -39,6 +39,7 @@ mod compressor;
 mod config;
 mod osu;
 mod regmem;
+mod warpmap;
 
 pub use backend::RegLessBackend;
 pub use cm::{ActivationOrder, CapacityManager, WarpPhase};

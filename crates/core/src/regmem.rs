@@ -6,8 +6,8 @@
 //! register numbers at about the same time, so this layout minimizes cache
 //! set conflicts. Compressed registers map to an adjacent second space.
 
+use crate::warpmap::WarpRegMap;
 use regless_isa::{LaneVec, Reg};
-use std::collections::HashMap;
 
 /// Byte size of one register's warp-wide value.
 pub const REG_LINE_BYTES: u64 = 128;
@@ -58,7 +58,7 @@ impl RegisterMemoryMap {
 /// "DRAM contents".
 #[derive(Clone, Debug, Default)]
 pub struct RegisterBacking {
-    values: HashMap<(usize, Reg), LaneVec>,
+    values: WarpRegMap<LaneVec>,
 }
 
 impl RegisterBacking {
@@ -69,21 +69,21 @@ impl RegisterBacking {
 
     /// Store an evicted value.
     pub fn store(&mut self, warp: usize, reg: Reg, value: LaneVec) {
-        self.values.insert((warp, reg), value);
+        self.values.insert(warp, reg, value);
     }
 
     /// Read a value back; registers never written spill as zero (reads of
     /// never-defined registers).
     pub fn load(&self, warp: usize, reg: Reg) -> LaneVec {
         self.values
-            .get(&(warp, reg))
+            .get(warp, reg)
             .copied()
             .unwrap_or_else(LaneVec::zero)
     }
 
     /// Drop a dead value.
     pub fn invalidate(&mut self, warp: usize, reg: Reg) {
-        self.values.remove(&(warp, reg));
+        self.values.remove(warp, reg);
     }
 
     /// Number of resident values.
@@ -93,7 +93,7 @@ impl RegisterBacking {
 
     /// Whether no values are resident.
     pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
+        self.values.len() == 0
     }
 }
 

@@ -5,6 +5,9 @@ use crate::reg::{Reg, WARP_WIDTH};
 use crate::value::LaneVec;
 use std::fmt;
 
+/// Most source operands one instruction may name.
+pub const MAX_SRCS: usize = 3;
+
 /// One static SIMT instruction: an opcode, an optional destination register,
 /// and up to three source registers.
 ///
@@ -31,7 +34,7 @@ impl Instruction {
     /// shape does not fit the opcode (e.g. a destination on a store or a
     /// terminator).
     pub fn new(op: Opcode, dst: Option<Reg>, srcs: Vec<Reg>) -> Self {
-        assert!(srcs.len() <= 3, "at most 3 source operands");
+        assert!(srcs.len() <= MAX_SRCS, "at most 3 source operands");
         let insn = Instruction { op, dst, srcs };
         insn.assert_shape();
         insn

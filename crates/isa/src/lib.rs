@@ -36,7 +36,7 @@ mod value;
 
 pub use block::{BasicBlock, BlockId};
 pub use builder::KernelBuilder;
-pub use insn::Instruction;
+pub use insn::{Instruction, MAX_SRCS};
 pub use kernel::{InsnRef, Kernel, KernelError};
 pub use kstats::KernelStats;
 pub use op::{OpClass, Opcode, Special};

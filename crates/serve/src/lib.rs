@@ -57,8 +57,8 @@ pub mod server;
 
 pub use client::{backoff_delay, Client, RetryOutcome, RetryPolicy};
 pub use proto::{
-    check_protocol_version, read_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
-    PROTOCOL_VERSION,
+    check_protocol_version, frame_error_reply, read_json_line, ErrorBody, ErrorCode, Request,
+    RequestKind, Response, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use server::{DesignSpec, ServeConfig, Server, ServerHandle};
 

@@ -9,7 +9,8 @@
 //! the tick loop, and publishes the result to every waiter at once.
 
 use crate::proto::{
-    read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
+    frame_error_reply, read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind,
+    Response,
 };
 use regless_baselines::{CompressRfBackend, RegDemBackend};
 use regless_bench::profile::ProfileReport;
@@ -640,7 +641,13 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
     loop {
         let json = match read_json_line(&mut reader) {
             Ok(Some(v)) => v,
-            Ok(None) | Err(_) => return,
+            Ok(None) => return,
+            Err(e) => {
+                if let Some(reply) = frame_error_reply(&e) {
+                    let _ = write_json_line(&mut writer, &reply.to_json());
+                }
+                return;
+            }
         };
         // Echo the id even when the request itself fails to parse.
         let id = json

@@ -32,8 +32,8 @@ pub enum WarpBlock {
 /// The scoreboard: the set of registers with writes in flight, kept as a
 /// flat bitmap sized to the kernel's register count. The per-issue checks
 /// (`contains` on every source and the destination) are the hottest reads
-/// in the SM loop, so the set lives in one or two words instead of a
-/// `HashSet`'s heap nodes. Set semantics are preserved exactly: inserting
+/// in the SM loop, so the set lives in one or two words instead of hashed
+/// heap nodes. Set semantics are preserved exactly: inserting
 /// an already-pending register is a no-op, matching the scoreboard's
 /// merge-on-double-write behaviour.
 #[derive(Clone, Debug, Default)]

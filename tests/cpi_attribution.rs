@@ -88,7 +88,7 @@ fn assert_conservation(report: &RunReport, gpu: &GpuConfig) {
         // Region charges are a subset of warp charges (a blocked warp
         // whose PC is gone cannot name a region).
         let mut region_sum = IssueStack::new();
-        for stack in sm.region_stacks.values() {
+        for stack in &sm.region_stacks {
             region_sum.merge(stack);
         }
         for reason in StallReason::ALL {
