@@ -88,7 +88,8 @@ impl SelfProfiler {
 
     /// [`SelfProfiler::scope`] through an `Option` — the shape
     /// instrumentation sites in hot loops use (`None` means "profiling
-    /// off" and costs one branch).
+    /// off" and costs one branch, once inlined into the caller).
+    #[inline]
     pub fn scope_opt<'a>(prof: Option<&'a SelfProfiler>, phase: &'static str) -> PhaseGuard<'a> {
         match prof {
             Some(p) => p.scope(phase),
@@ -201,6 +202,7 @@ pub struct PhaseGuard<'a> {
 }
 
 impl Drop for PhaseGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         if let Some((prof, phase, started)) = self.active.take() {
             prof.record(phase, started.elapsed().as_nanos() as u64);
